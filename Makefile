@@ -12,18 +12,21 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint = vet plus buddylint, the type-aware invariant suite in
-# internal/lint (nolegacy, lockorder, hotpathalloc, sentinelerr,
-# mustclose). It replaced the old grep rules for the retired Compressor
-# surface; see DESIGN.md "Invariants as analyzers". A finding can be
-# suppressed one site at a time with a justified directive on or directly
-# above the flagged line:
+# lint = vet, a gofmt check (any file `gofmt -l` lists fails the build),
+# and buddylint, the type-aware invariant suite in internal/lint
+# (lockorder, hotpathalloc, sentinelerr, mustclose); see DESIGN.md
+# "Invariants as analyzers". A buddylint finding can be suppressed one site
+# at a time with a justified directive on or directly above the flagged
+# line:
 #
 #     //nolint:buddy/<analyzer> -- reason the violation is safe here
 #
 # buddylint itself rejects reason-less or stale directives, so there is
 # no blanket escape hatch; `make lint-fix` prints the recipe.
+GOFMT ?= gofmt
 lint: vet
+	@unformatted=$$($(GOFMT) -l .); if [ -n "$$unformatted" ]; then \
+	  echo "lint: gofmt -l lists files that need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/buddylint ./...
 	@echo 'lint: ok'
 

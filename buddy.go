@@ -224,12 +224,6 @@ func PlanReprofile(current map[string]TargetRatio, snaps []*Snapshot, c Codec, o
 // length, and DecompressInto decodes into caller memory.
 type Codec = compress.Codec
 
-// Compressor is the old name for Codec; the legacy allocate-per-call
-// methods it once carried (CompressedBits, Compress, Decompress) are gone.
-//
-// Deprecated: use Codec.
-type Compressor = compress.Codec
-
 // NewBPC returns Bit-Plane Compression, the paper's chosen algorithm.
 func NewBPC() Codec { return compress.NewBPC() }
 
@@ -241,11 +235,6 @@ func Codecs() []Codec { return compress.Registry() }
 // ("bpc", "bdi", "fpc", "fvc", "cpack", "zero") — the lookup behind
 // name-based codec selection in the command-line tools.
 func CodecByName(name string) (Codec, error) { return compress.ByName(name) }
-
-// Compressors returns every implemented algorithm.
-//
-// Deprecated: use Codecs.
-func Compressors() []Codec { return Codecs() }
 
 // ProfileOptions configure the profiling pass.
 type ProfileOptions = core.ProfileOptions

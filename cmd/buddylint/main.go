@@ -1,8 +1,6 @@
 // Buddylint is the repo's invariant gate: a multichecker running the
-// internal/lint analyzer suite — nolegacy, lockorder, hotpathalloc,
-// sentinelerr, mustclose — over the module. It replaces the Makefile's
-// grep-based legacy-surface gate with type-aware checks; `make lint` runs
-// it after go vet.
+// internal/lint analyzer suite — lockorder, hotpathalloc, sentinelerr,
+// mustclose — over the module; `make lint` runs it after go vet.
 //
 // Usage:
 //

@@ -246,12 +246,12 @@ func (a *Allocation) ReadEntries(start int, dst []byte) error {
 // writeEntrySpan is the batch counterpart of writeEntry: it writes entries
 // [lo, hi) of a span whose first entry is index start and whose data is the
 // span-relative flat buffer. The device-table read lock is taken once per
-// sub-batch (never across one, so Malloc/Free/migration commits interleave)
+// sub-batch (never across one, so Malloc/Free/Retarget swaps interleave)
 // and the device-tier traffic counters are flushed once per sub-batch; the
 // per-entry totals are identical to writeEntry's. Buddy-tier accounting
 // stays per entry: the carve-out models per-access link occupancy.
 //
-// Entries sharing a metadata byte share a shard (shardBase is even), so the
+// Entries sharing a metadata byte share a shard (regions start even), so the
 // kernel encodes both halves of a pair into separate scratch buffers first
 // and then takes the pair's shard lock once for both table updates. Each
 // entry's stream+metadata update remains atomic under the shard lock, so the
@@ -272,10 +272,13 @@ func (a *Allocation) writeEntrySpan(start, lo, hi int, data []byte, scratch, scr
 			d.mu.RUnlock()
 			return d.errFailed()
 		}
+		// The layout is pinned while dev.mu is read-held: base+i is span
+		// entry i's global index for the whole sub-batch.
+		base, t := a.reg.firstEntry+start, a.target
 		var devBytes uint64
 		for i := b; i < e; {
 			n := 1
-			if i+1 < e && (a.shardBase+start+i)&1 == 0 {
+			if i+1 < e && (base+i)&1 == 0 {
 				n = 2
 			}
 			var streams [2][]byte
@@ -296,22 +299,19 @@ func (a *Allocation) writeEntrySpan(start, lo, hi int, data []byte, scratch, scr
 				streams[k] = stream
 				secs[k] = compress.SectorsForBits(bits)
 			}
-			var homes [2]int
-			var targets [2]TargetRatio
 			sh := a.shard(start + i)
 			sh.Lock()
 			for k := 0; k < n; k++ {
-				g, t := a.entryHome(start + i + k)
-				homes[k], targets[k] = g, t
+				g := base + i + k
 				d.streams[g] = append(d.streams[g][:0], streams[k]...)
 				d.meta.Set(g, secs[k])
 				a.sectorCount[start+i+k] = secs[k]
 			}
 			sh.Unlock()
 			for k := 0; k < n; k++ {
-				g := homes[k]
+				g := base + i + k
 				d.accessMetadata(g)
-				dev, buddy := splitBytes(targets[k], secs[k])
+				dev, buddy := splitBytes(t, secs[k])
 				devBytes += uint64(dev)
 				if buddy > 0 {
 					d.traffic.buddyWriteBytes.Add(uint64(buddy))
@@ -352,30 +352,28 @@ func (a *Allocation) readEntrySpan(start, lo, hi int, dst []byte, scratch, scrat
 			d.mu.RUnlock()
 			return d.errFailed()
 		}
+		base, t := a.reg.firstEntry+start, a.target
 		var devBytes uint64
 		for i := b; i < e; {
 			n := 1
-			if i+1 < e && (a.shardBase+start+i)&1 == 0 {
+			if i+1 < e && (base+i)&1 == 0 {
 				n = 2
 			}
-			var homes [2]int
-			var targets [2]TargetRatio
 			var secs [2]int
 			var written [2]bool
 			sh := a.shard(start + i)
 			sh.Lock()
 			for k := 0; k < n; k++ {
-				g, t := a.entryHome(start + i + k)
-				homes[k], targets[k] = g, t
+				g := base + i + k
 				secs[k] = d.meta.Get(g)
 				written[k] = d.streams[g] != nil
 				*bufs[k] = append((*bufs[k])[:0], d.streams[g]...)
 			}
 			sh.Unlock()
 			for k := 0; k < n; k++ {
-				g := homes[k]
+				g := base + i + k
 				d.accessMetadata(g)
-				dev, buddy := splitBytes(targets[k], secs[k])
+				dev, buddy := splitBytes(t, secs[k])
 				devBytes += uint64(dev)
 				if buddy > 0 {
 					d.traffic.buddyReadBytes.Add(uint64(buddy))

@@ -154,8 +154,9 @@ const entryShards = 64
 // reader-writer lock, per-entry state by sharded mutexes, and traffic by
 // atomic counters. Individual entry operations are atomic; a multi-entry
 // ReadAt/WriteAt is not one atomic unit against concurrent writers to the
-// same range. Control-plane operations (Free, Retarget, ApplyReprofile)
-// serialize on migMu; lock order is migMu -> mu -> entry shards.
+// same range. Control-plane operations (Malloc, Free, Retarget) hold mu
+// exclusively; entry operations hold it shared under their shard lock.
+// Lock order is mu -> entry shards.
 type Device struct {
 	cfg      Config
 	primary  Backend
@@ -163,8 +164,6 @@ type Device struct {
 	slab     *SlabBackend // primary, concretely typed for span accounting
 	mcache   *MetadataCache
 	span     *spanPool // persistent span-worker pool, sized at NewDevice
-
-	migMu sync.Mutex // serializes Free/Retarget/ApplyReprofile
 
 	mu         sync.RWMutex // guards the allocation table below
 	allocs     []*Allocation
@@ -180,6 +179,7 @@ type Device struct {
 	traffic     trafficCounters
 	metaEnabled atomic.Bool
 	failed      atomic.Bool // device tier killed by Fail, not yet Recovered
+	recovering  atomic.Bool // a Recover rebuild is in flight
 }
 
 // ErrOutOfMemory is returned when an allocation does not fit a tier's
@@ -253,8 +253,8 @@ func (d *Device) Close() error {
 }
 
 // Allocation is one compressed cudaMalloc region on a device. It lives
-// until Free/Close retires it; a live migration (Retarget, ApplyReprofile)
-// may move it to a new layout while I/O continues.
+// until Free/Close retires it; a retarget (Retarget, ApplyReprofile) may
+// swap it to a new layout while I/O continues.
 type Allocation struct {
 	dev *Device
 	// Name identifies the allocation.
@@ -262,15 +262,13 @@ type Allocation struct {
 	// EntryCount is the number of 128 B memory-entries.
 	EntryCount int
 
-	size      int64 // requested byte size (EntryCount*128 minus padding)
-	shardBase int   // immutable, even: keys the entry shard locks forever
+	size int64 // requested byte size (EntryCount*128 minus padding)
 
-	// Current committed layout. Read under dev.mu (any mode); written only
-	// under dev.mu held exclusively (Malloc, migration commit).
+	// Current layout. Read under dev.mu (any mode); written only under
+	// dev.mu held exclusively (Malloc, Retarget's swap).
 	target TargetRatio
 	reg    region // entry slots + device/buddy placement of the layout
 	freed  bool   // set by Free; all later I/O fails with ErrFreed
-	mig    *migration
 
 	sectorCount []int // last committed compressed sector count per entry
 }
@@ -382,7 +380,6 @@ func (d *Device) Malloc(name string, size int64, target TargetRatio) (*Allocatio
 		Name:        name,
 		EntryCount:  entries,
 		size:        size,
-		shardBase:   r.firstEntry,
 		target:      target,
 		reg:         r,
 		sectorCount: make([]int, entries),
@@ -428,28 +425,14 @@ func (a *Allocation) checkIndex(i int) error {
 	return nil
 }
 
-// shard returns the mutex striping entry i of the allocation. The key is
-// derived from the immutable shardBase — not the current layout — so the
-// same entry keeps the same lock across live migrations, which is what lets
-// migration hand an entry from the old layout to the new one atomically.
-// Regions start at even global indexes and span an even number of slots
-// (regionSlots), so the two entries sharing a metadata byte always live in
-// one allocation and, because shardBase is even, always hash to the same
-// shard: the byte's read-modify-write stays serialized.
+// shard returns the mutex striping entry i of the allocation, keyed by the
+// entry's global index in the current layout; the caller must hold dev.mu
+// (any mode), which pins the layout. Regions start at even global indexes
+// and span an even number of slots (regionSlots), so the two entries
+// sharing a metadata byte always live in one allocation and always hash to
+// the same shard: the byte's read-modify-write stays serialized.
 func (a *Allocation) shard(i int) *sync.Mutex {
-	return &a.dev.shards[(a.shardBase+i)/2%entryShards]
-}
-
-// entryHome resolves which layout currently owns entry i: during a live
-// migration, entries the migrator has already moved live in the new layout
-// while the rest remain in the old one. The caller must hold dev.mu (any
-// mode) and the entry's shard lock; the result is stable until both are
-// released.
-func (a *Allocation) entryHome(i int) (global int, t TargetRatio) {
-	if m := a.mig; m != nil && m.moved[i] {
-		return m.reg.firstEntry + i, m.target
-	}
-	return a.reg.firstEntry + i, a.target
+	return &a.dev.shards[(a.reg.firstEntry+i)/2%entryShards]
 }
 
 func (a *Allocation) errFreed() error {
@@ -518,13 +501,10 @@ func (a *Allocation) writeEntry(i int, data []byte, scratch *[]byte) error {
 	}
 	sh := a.shard(i)
 	sh.Lock()
-	// The entry's home (old or new layout, during a live migration) is
-	// resolved under the shard lock, so the write lands in whichever layout
-	// owns the entry at commit time. Copy into the entry's retained buffer
-	// (reused across rewrites) rather than retaining the scratch: readers
-	// snapshot under the same lock, so in-place reuse is safe and the
-	// steady state allocates nothing.
-	g, t := a.entryHome(i)
+	// Copy into the entry's retained buffer (reused across rewrites) rather
+	// than retaining the scratch: readers snapshot under the same lock, so
+	// in-place reuse is safe and the steady state allocates nothing.
+	g, t := a.reg.firstEntry+i, a.target
 	d.streams[g] = append(d.streams[g][:0], stream...)
 	d.meta.Set(g, sectors)
 	a.sectorCount[i] = sectors
@@ -580,7 +560,7 @@ func (a *Allocation) readEntry(i int, dst []byte, scratch *[]byte) error {
 	}
 	sh := a.shard(i)
 	sh.Lock()
-	g, t := a.entryHome(i)
+	g, t := a.reg.firstEntry+i, a.target
 	sectors := d.meta.Get(g)
 	written := d.streams[g] != nil
 	*scratch = append((*scratch)[:0], d.streams[g]...)

@@ -64,7 +64,7 @@ func (s *rebuildSpan) runSpan(lo, hi int) error {
 	for i := lo; i < hi; i++ {
 		sh := a.shard(i)
 		sh.Lock()
-		g, t := a.entryHome(i)
+		g, t := a.reg.firstEntry+i, a.target
 		sectors := d.meta.Get(g)
 		written := d.streams[g] != nil
 		sh.Unlock()
@@ -96,14 +96,15 @@ func (s *rebuildSpan) runSpan(lo, hi int) error {
 // crossed the link, then reopens the data path. Recovering a device that
 // has not failed is an error.
 func (d *Device) Recover() (entries int, rebuilt int64, err error) {
-	// Serializing on migMu keeps Free/Retarget/ApplyReprofile out of the
-	// rebuild window; the data path is still down (failed clears last), so
-	// no entry changes underneath the spans.
-	d.migMu.Lock()
-	defer d.migMu.Unlock()
-	if !d.failed.Load() {
+	// One rebuild at a time: a Recover racing another finds the device
+	// already being (or already) rebuilt. The data path stays down until
+	// failed clears, so no write changes an entry underneath the spans; a
+	// Free or Retarget interleaving between spans is seen consistently, as
+	// each span reads the layout under dev.mu.
+	if !d.failed.Load() || !d.recovering.CompareAndSwap(false, true) {
 		return 0, 0, fmt.Errorf("core: Recover on a device that has not failed")
 	}
+	defer d.recovering.Store(false)
 	for _, a := range d.Allocations() {
 		s := &rebuildSpan{d: d, a: a}
 		_ = d.span.run(a.EntryCount, s) // rebuildSpan has no error path

@@ -113,6 +113,25 @@ func TestRecoverRebuildsFromBuddy(t *testing.T) {
 	}
 }
 
+// TestRecoverOneAtATime pins Recover's admission: while one rebuild is in
+// flight, a second Recover is refused with the "has not failed" error and
+// leaves the device down for the first to reopen.
+func TestRecoverOneAtATime(t *testing.T) {
+	d := NewDevice(Config{DeviceBytes: 1 << 20})
+	d.Fail()
+	d.recovering.Store(true) // a rebuild is in flight
+	if _, _, err := d.Recover(); err == nil || !strings.Contains(err.Error(), "has not failed") {
+		t.Fatalf("Recover during a rebuild: err = %v, want the has-not-failed error", err)
+	}
+	if !d.Failed() {
+		t.Fatal("a refused Recover reopened the device")
+	}
+	d.recovering.Store(false)
+	if _, _, err := d.Recover(); err != nil || d.Failed() {
+		t.Fatalf("Recover after the rebuild finished: err = %v, failed = %v", err, d.Failed())
+	}
+}
+
 // TestExportImportStreamHandoff pins the no-decode migration primitive:
 // entries exported from one device import verbatim into a codec-matched
 // allocation on another, data survives, never-written entries are skipped,

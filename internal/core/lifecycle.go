@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 )
 
 // Allocation lifecycle and live target-ratio migration (the §3.4 extension:
@@ -15,17 +14,14 @@ import (
 // new target ratio while reader/writer traffic continues, and
 // ApplyReprofile drives Retarget from a checkpoint-time ReprofilePlan.
 //
-// Concurrency scheme: control-plane operations serialize on dev.migMu
-// (lock order migMu -> mu -> entry shards). A migration installs a
-// per-allocation epoch — the mig pointer with its moved[] bitmap — under
-// dev.mu held exclusively, then streams entries to the new layout on the
-// same GOMAXPROCS-bounded span pool as the batch data path. Each entry
-// moves under its shard lock, the same lock every reader and writer takes,
-// and the shard key comes from the immutable shardBase rather than the
-// layout, so an in-flight WriteAt simply lands in whichever layout owns the
-// entry when it commits. The final layout swap happens under dev.mu held
-// exclusively, after which the old region's reservations are released and
-// its slots become a hole.
+// Concurrency scheme: every control-plane change to an allocation (Malloc,
+// Free, Retarget) happens under dev.mu held exclusively, and every data-path
+// access holds dev.mu shared while it takes an entry's shard lock (lock
+// order mu -> entry shards). Retarget therefore never runs concurrently
+// with an entry operation: inside one device a relocation only hands stream
+// references and metadata nibbles from one region to another — nothing is
+// re-encoded — so the whole layout swap is a single short critical section,
+// and I/O before it sees the old layout, I/O after it the new one.
 
 // ErrFreed is returned (wrapped) by every I/O operation on an allocation
 // that has been released with Free or Close.
@@ -47,34 +43,6 @@ type region struct {
 // regionSlots rounds an entry count up to the even slot count its region
 // occupies (see region).
 func regionSlots(entries int) int { return entries + entries%2 }
-
-// migration is the live-migration epoch of one allocation: the destination
-// layout plus the per-entry handoff bitmap. moved[i] is guarded by entry
-// i's shard lock; the struct itself is installed and cleared under dev.mu
-// held exclusively.
-type migration struct {
-	target TargetRatio
-	reg    region
-	moved  []bool
-	bytes  atomic.Int64 // stored bytes re-packed so far
-}
-
-// migrateSpan is the spanRunner that streams one allocation's entries to
-// its migration's new layout across the device's span-worker pool.
-type migrateSpan struct {
-	d   *Device
-	a   *Allocation
-	mig *migration
-}
-
-func (s *migrateSpan) runSpan(lo, hi int) error {
-	var moved int64
-	for i := lo; i < hi; i++ {
-		moved += s.d.migrateEntry(s.a, s.mig, i)
-	}
-	s.mig.bytes.Add(moved)
-	return nil
-}
 
 // grabRegion hands out a region of the given shape, reusing the first
 // retired hole that fits in all three spaces and growing the entry table
@@ -150,11 +118,6 @@ func (d *Device) Free(a *Allocation) error {
 	if a == nil || a.dev != d {
 		return fmt.Errorf("core: Free of an allocation not owned by this device")
 	}
-	// Serializing against Retarget/ApplyReprofile guarantees no migration
-	// is in flight on a while it is dismantled.
-	d.migMu.Lock()
-	defer d.migMu.Unlock()
-
 	d.mu.Lock()
 	if a.freed {
 		d.mu.Unlock()
@@ -200,12 +163,12 @@ var errStaleDecision = errors.New("core: stale reprofile decision")
 // Retarget migrates a live allocation to a new target compression ratio
 // (§3.4: "requires re-allocating the memory for that page and moving data").
 // The new layout's reservations are taken up front (failing with
-// ErrOutOfMemory leaves the allocation untouched); entries then stream to
-// their new placement on the same GOMAXPROCS-bounded span pool as the batch
-// data path, concurrently with reader/writer traffic; finally the layout is
-// swapped and the old region's reservations return to their tiers. It
-// returns the stored bytes re-packed (the migration cost a ReprofilePlan
-// estimates).
+// ErrOutOfMemory leaves the allocation untouched); the layout is then
+// swapped in one critical section — every written entry's stream and
+// metadata move to the new region, which replaces the old one — and the old
+// region's reservations return to their tiers. Concurrent reads and writes
+// see either the old layout or the new one, never a mix. It returns the
+// stored bytes re-packed (the migration cost a ReprofilePlan estimates).
 func (d *Device) Retarget(a *Allocation, target TargetRatio) (int64, error) {
 	return d.retarget(a, target, nil)
 }
@@ -213,34 +176,24 @@ func (d *Device) Retarget(a *Allocation, target TargetRatio) (int64, error) {
 // retarget is Retarget with an optional expected current target: when
 // expectOld is non-nil and the allocation's target no longer matches (a
 // concurrent Free/Retarget won the race since the caller looked), it fails
-// with errStaleDecision instead of migrating. The check runs under migMu,
-// where no control-plane operation can interleave.
+// with errStaleDecision instead of migrating. The checks are repeated under
+// dev.mu held exclusively, where no control-plane operation can interleave.
 func (d *Device) retarget(a *Allocation, target TargetRatio, expectOld *TargetRatio) (int64, error) {
 	if a == nil || a.dev != d {
 		return 0, fmt.Errorf("core: Retarget of an allocation not owned by this device")
 	}
-	d.migMu.Lock()
-	defer d.migMu.Unlock()
-
 	d.mu.RLock()
-	freed, old := a.freed, a.target
+	done, err := a.retargetDone(target, expectOld)
 	d.mu.RUnlock()
-	if freed {
-		return 0, a.errFreed()
-	}
-	if expectOld != nil && old != *expectOld {
-		return 0, fmt.Errorf("core: %s is at %s, plan expected %s: %w",
-			a.Name, old, *expectOld, errStaleDecision)
-	}
-	if old == target {
-		return 0, nil
+	if done || err != nil {
+		return 0, err
 	}
 
 	entries := a.EntryCount
 	devBytes := int64(entries) * int64(target.DeviceBytes())
 	buddyBytes := int64(entries) * int64(target.BuddySlotBytes())
-	// Both layouts are reserved while the migration runs; the old bytes
-	// return only after the swap, so a failure can always roll forward.
+	// Both layouts are reserved across the swap; the old bytes return only
+	// after it.
 	if err := d.primary.Reserve(devBytes); err != nil {
 		return 0, err
 	}
@@ -249,78 +202,80 @@ func (d *Device) retarget(a *Allocation, target TargetRatio, expectOld *TargetRa
 		return 0, err
 	}
 
-	mig := &migration{target: target, moved: make([]bool, entries)}
 	d.mu.Lock()
-	mig.reg = d.grabRegion(regionSlots(entries), devBytes, buddyBytes)
-	a.mig = mig
-	d.mu.Unlock()
-
-	// Stream every entry to the new layout. The span workers cannot fail
-	// here (migrateEntry has no error path), and entries written
-	// concurrently after their move land in the new layout directly.
-	_ = d.span.run(entries, &migrateSpan{d: d, a: a, mig: mig})
-
-	// Commit: swap the layout and retire the old region.
-	d.mu.Lock()
-	oldReg := a.reg
-	a.target = target
-	a.reg = mig.reg
-	a.mig = nil
-	moved := mig.bytes.Load()
+	if done, err := a.retargetDone(target, expectOld); done || err != nil {
+		d.mu.Unlock()
+		d.primary.Release(devBytes)
+		d.overflow.Release(buddyBytes)
+		return 0, err
+	}
+	oldT, oldReg := a.target, a.reg
+	newReg := d.grabRegion(regionSlots(entries), devBytes, buddyBytes)
+	// sectors[i] is entry i's sector count, -1 for a never-written entry
+	// (nothing to move, nothing to account).
+	sectors := make([]int8, entries)
+	for i := range sectors {
+		gOld, gNew := oldReg.firstEntry+i, newReg.firstEntry+i
+		if d.streams[gOld] == nil {
+			sectors[i] = -1
+			continue
+		}
+		s := d.meta.Get(gOld)
+		d.streams[gNew], d.streams[gOld] = d.streams[gOld], nil
+		d.meta.Set(gNew, s)
+		d.meta.Set(gOld, 0)
+		sectors[i] = int8(s)
+	}
+	a.target, a.reg = target, newReg
 	d.freeRegion(oldReg)
 	d.mu.Unlock()
 
 	d.primary.Release(oldReg.devBytes)
 	d.overflow.Release(oldReg.buddyBytes)
+
+	// Model the move like the data path models an access, after the lock:
+	// each written entry reads its old placement and writes its new one.
+	var moved, devR, devW, budR, budW int64
+	for i, s := range sectors {
+		if s < 0 {
+			continue
+		}
+		gOld, gNew := oldReg.firstEntry+i, newReg.firstEntry+i
+		dr, br := splitBytes(oldT, int(s))
+		dw, bw := splitBytes(target, int(s))
+		moved += int64(storedBytes(int(s)))
+		devR, devW = devR+int64(dr), devW+int64(dw)
+		d.primary.Load(gOld, dr)
+		d.primary.Store(gNew, dw)
+		if br > 0 {
+			budR += int64(br)
+			d.overflow.Load(gOld, br)
+		}
+		if bw > 0 {
+			budW += int64(bw)
+			d.overflow.Store(gNew, bw)
+		}
+	}
+	d.traffic.migrationBytes.Add(uint64(moved))
+	d.traffic.deviceReadBytes.Add(uint64(devR))
+	d.traffic.deviceWriteBytes.Add(uint64(devW))
+	d.traffic.buddyReadBytes.Add(uint64(budR))
+	d.traffic.buddyWriteBytes.Add(uint64(budW))
 	return moved, nil
 }
 
-// migrateEntry hands one entry from the old layout to the new one and
-// returns the stored bytes it moved. The handoff happens under the entry's
-// shard lock — the same lock readers and writers take — so it is atomic
-// with respect to concurrent I/O; the traffic modeling (read the old
-// placement, write the new one) happens after the lock drops, like the
-// regular data path.
-func (d *Device) migrateEntry(a *Allocation, mig *migration, i int) int64 {
-	d.mu.RLock()
-	sh := a.shard(i)
-	sh.Lock()
-	gOld := a.reg.firstEntry + i
-	gNew := mig.reg.firstEntry + i
-	var devR, budR, devW, budW, stored int
-	if !mig.moved[i] {
-		if stream := d.streams[gOld]; stream != nil {
-			sectors := d.meta.Get(gOld)
-			d.streams[gNew] = stream
-			d.streams[gOld] = nil
-			d.meta.Set(gNew, sectors)
-			d.meta.Set(gOld, 0)
-			devR, budR = splitBytes(a.target, sectors)
-			devW, budW = splitBytes(mig.target, sectors)
-			stored = storedBytes(sectors)
-		}
-		// Never-written entries have nothing to move; flipping the epoch
-		// bit is enough to hand them to the new layout.
-		mig.moved[i] = true
+// retargetDone reports whether a retarget of a to target has nothing to do
+// (already at target), or fails: a freed allocation, or one whose target no
+// longer matches expectOld. Caller must hold dev.mu.
+func (a *Allocation) retargetDone(target TargetRatio, expectOld *TargetRatio) (bool, error) {
+	switch {
+	case a.freed:
+		return false, a.errFreed()
+	case expectOld != nil && a.target != *expectOld:
+		return false, fmt.Errorf("core: %s is at %s, plan expected %s: %w",
+			a.Name, a.target, *expectOld, errStaleDecision)
 	}
-	sh.Unlock()
-	if stored > 0 {
-		d.traffic.migrationBytes.Add(uint64(stored))
-		d.traffic.deviceReadBytes.Add(uint64(devR))
-		d.traffic.deviceWriteBytes.Add(uint64(devW))
-		d.primary.Load(gOld, devR)
-		d.primary.Store(gNew, devW)
-		if budR > 0 {
-			d.traffic.buddyReadBytes.Add(uint64(budR))
-			d.overflow.Load(gOld, budR)
-		}
-		if budW > 0 {
-			d.traffic.buddyWriteBytes.Add(uint64(budW))
-			d.overflow.Store(gNew, budW)
-		}
-	}
-	d.mu.RUnlock()
-	return int64(stored)
+	return a.target == target, nil
 }
 
 // MigrationStats reports what ApplyReprofile actually did.
@@ -352,7 +307,7 @@ func (d *Device) ApplyReprofile(plan *ReprofilePlan) (MigrationStats, error) {
 			st.Skipped++
 			continue
 		}
-		// The stale check happens inside retarget, under migMu: a Free or
+		// The stale check happens inside retarget, under dev.mu: a Free or
 		// Retarget racing in after the lookup turns into a skip, never a
 		// misdirected migration.
 		moved, err := d.retarget(a, dec.New, &dec.Old)

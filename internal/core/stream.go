@@ -15,7 +15,7 @@ import (
 // (Traffic.MigrationBytes counts the stored bytes once per device, so a
 // clean cross-device move reads equal on source and destination) plus the
 // per-tier transfer of the entry's current placement, mirroring the
-// within-device migrateEntry.
+// within-device Retarget.
 
 // ExportEntry appends entry i's committed framed compressed stream to dst
 // and returns the extended slice with the entry's sector count, without
@@ -37,9 +37,7 @@ func (a *Allocation) ExportEntry(i int, dst []byte) (stream []byte, sectors int,
 	}
 	sh := a.shard(i)
 	sh.Lock()
-	// The home layout is resolved under the shard lock, so an export racing
-	// a within-device migration snapshots whichever layout owns the entry.
-	g, t := a.entryHome(i)
+	g, t := a.reg.firstEntry+i, a.target
 	sectors = d.meta.Get(g)
 	written = d.streams[g] != nil
 	dst = append(dst, d.streams[g]...)
@@ -92,7 +90,7 @@ func (a *Allocation) ImportEntry(i int, stream []byte, sectors int) error {
 	}
 	sh := a.shard(i)
 	sh.Lock()
-	g, t := a.entryHome(i)
+	g, t := a.reg.firstEntry+i, a.target
 	d.streams[g] = append(d.streams[g][:0], stream...)
 	d.meta.Set(g, sectors)
 	a.sectorCount[i] = sectors

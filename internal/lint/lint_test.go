@@ -11,10 +11,6 @@ import (
 // fixtures pair flagged lines (`// want`) with clean look-alikes so both
 // the positive and the negative behavior are pinned.
 
-func TestNoLegacy(t *testing.T) {
-	analysistest.Run(t, lint.NoLegacy, "nolegacy", "compress")
-}
-
 func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, lint.LockOrder, "lockorder")
 }

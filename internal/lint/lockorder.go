@@ -9,17 +9,16 @@ import (
 )
 
 // LockOrder enforces the Device lock hierarchy documented on core.Device —
-// control plane migMu, then the allocation-table mu, then the 64
-// entry-shard mutexes — and a release discipline for every sync.Mutex /
+// the allocation-table mu, then the 64 entry-shard mutexes — and a release
+// discipline for every sync.Mutex /
 // sync.RWMutex: a lock acquired in a function must be deferred-unlocked or
 // released on every return path of that function.
 var LockOrder = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: `enforce the migMu -> mu -> entry-shard lock order and release discipline
+	Doc: `enforce the mu -> entry-shard lock order and release discipline
 
 Flags acquiring a Device lock while already holding one that ranks after
-it in the documented hierarchy (migMu before mu before the entry-shard
-locks), re-acquiring a lock already held (self-deadlock), mismatched
+it in the documented hierarchy (mu before the entry-shard locks), re-acquiring a lock already held (self-deadlock), mismatched
 RLock/Unlock pairs, and any sync mutex Lock whose Unlock is neither
 deferred nor present on every return path. The walk is path-sensitive
 across if/else, switch and loops; function literals are independent
@@ -30,13 +29,12 @@ frames.`,
 // Device lock ranks; unranked locks participate only in the release and
 // double-acquire checks.
 const (
-	rankMigMu = iota
-	rankMu
+	rankMu = iota
 	rankShard
 	rankNone = -1
 )
 
-var rankNames = [...]string{"migMu", "mu", "entry-shard"}
+var rankNames = [...]string{"mu", "entry-shard"}
 
 type heldLock struct {
 	rank     int
@@ -126,8 +124,8 @@ func (w *lockWalker) lockMethod(call *ast.CallExpr) (recv ast.Expr, name string,
 	return sel.X, sel.Sel.Name, true
 }
 
-// rankOf places a lock receiver in the Device hierarchy: fields migMu, mu
-// and shards of a type named Device, plus locals returned by a shard()
+// rankOf places a lock receiver in the Device hierarchy: fields mu and
+// shards of a type named Device, plus locals returned by a shard()
 // method. Everything else is unranked.
 func (w *lockWalker) rankOf(recv ast.Expr) int {
 	switch recv := recv.(type) {
@@ -136,10 +134,7 @@ func (w *lockWalker) rankOf(recv ast.Expr) int {
 			return rankShard
 		}
 	case *ast.SelectorExpr:
-		switch w.deviceField(recv) {
-		case "migMu":
-			return rankMigMu
-		case "mu":
+		if w.deviceField(recv) == "mu" {
 			return rankMu
 		}
 	case *ast.Ident:
@@ -187,7 +182,7 @@ func (w *lockWalker) acquire(recv ast.Expr, name string, held lockState, pos tok
 	if rank != rankNone {
 		for k, h := range held {
 			if h.rank != rankNone && h.rank > rank {
-				w.pass.Reportf(pos, "acquiring %s (%s) while holding %s (%s) violates the lock order migMu -> mu -> entry shards",
+				w.pass.Reportf(pos, "acquiring %s (%s) while holding %s (%s) violates the lock order mu -> entry shards",
 					key, rankNames[rank], k, rankNames[h.rank])
 			}
 		}

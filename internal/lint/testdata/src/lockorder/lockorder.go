@@ -4,10 +4,9 @@ package lockorder
 
 import "sync"
 
-// Device mirrors core.Device's lock fields: control-plane migMu, then the
-// allocation-table mu, then the entry-shard locks.
+// Device mirrors core.Device's lock fields: the allocation-table mu, then
+// the entry-shard locks.
 type Device struct {
-	migMu  sync.Mutex
 	mu     sync.RWMutex
 	shards [8]sync.Mutex
 }
@@ -16,8 +15,6 @@ func (d *Device) shard(i int) *sync.Mutex { return &d.shards[i%len(d.shards)] }
 
 // The documented order with deferred unlocks: clean.
 func (d *Device) ordered(i int) {
-	d.migMu.Lock()
-	defer d.migMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	sh := d.shard(i)
@@ -30,16 +27,8 @@ func (d *Device) shardThenMu(i int) {
 	sh := d.shard(i)
 	sh.Lock()
 	defer sh.Unlock()
-	d.mu.Lock() // want `violates the lock order migMu -> mu -> entry shards`
+	d.mu.Lock() // want `violates the lock order mu -> entry shards`
 	defer d.mu.Unlock()
-}
-
-// Taking migMu under mu inverts it one level up.
-func (d *Device) muThenMig() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.migMu.Lock() // want `violates the lock order migMu -> mu -> entry shards`
-	defer d.migMu.Unlock()
 }
 
 // Re-acquiring a held lock self-deadlocks.
@@ -79,7 +68,7 @@ func (d *Device) leakyReturn(cond bool) int {
 // A lock taken in a loop iteration must be released before the next one.
 func (d *Device) loopLocked(n int) {
 	for i := 0; i < n; i++ {
-		d.migMu.Lock() // want `locked in a loop body is not released`
+		d.mu.Lock() // want `locked in a loop body is not released`
 	}
 }
 

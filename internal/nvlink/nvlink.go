@@ -37,8 +37,8 @@ type Link struct {
 	cfg           Config
 	bytesPerCycle float64
 	busyUntil     [2]float64
-	busyCycles    [2]float64
-	// TotalBytes per direction.
+	// TotalBytes per direction; busy cycles derive from it, so they do not
+	// depend on the order transfers arrived in.
 	TotalBytes [2]uint64
 }
 
@@ -65,7 +65,6 @@ func (l *Link) Request(now float64, dir Direction, bytes int) float64 {
 	}
 	xfer := float64(bytes) / l.bytesPerCycle
 	l.busyUntil[dir] = start + xfer
-	l.busyCycles[dir] += xfer
 	l.TotalBytes[dir] += uint64(bytes)
 	return start + xfer + l.cfg.LatencyCycles
 }
@@ -79,14 +78,16 @@ func (l *Link) Drain(now float64, dir Direction, bytes int) {
 	}
 	xfer := float64(bytes) / l.bytesPerCycle
 	l.busyUntil[dir] = start + xfer
-	l.busyCycles[dir] += xfer
 	l.TotalBytes[dir] += uint64(bytes)
 }
 
 // BusyCycles returns the cycles a direction has spent transferring since
-// the last Reset — accumulated service time, not the end of the queue, so
-// idle gaps between requests are not counted.
-func (l *Link) BusyCycles(dir Direction) float64 { return l.busyCycles[dir] }
+// the last Reset — its bytes over the link rate, not the end of the queue,
+// so idle gaps between requests are not counted and the same transfers
+// give the same figure in any order.
+func (l *Link) BusyCycles(dir Direction) float64 {
+	return float64(l.TotalBytes[dir]) / l.bytesPerCycle
+}
 
 // Utilization reports the busy fraction of a direction up to horizon: the
 // cycles actually spent transferring over the horizon. Idle gaps between
@@ -96,7 +97,7 @@ func (l *Link) Utilization(dir Direction, horizon float64) float64 {
 	if horizon <= 0 {
 		return 0
 	}
-	u := l.busyCycles[dir] / horizon
+	u := l.BusyCycles(dir) / horizon
 	if u > 1 {
 		u = 1
 	}
@@ -111,6 +112,5 @@ func (l *Link) Totals() (read, written uint64) {
 // Reset clears queues and counters.
 func (l *Link) Reset() {
 	l.busyUntil = [2]float64{}
-	l.busyCycles = [2]float64{}
 	l.TotalBytes = [2]uint64{}
 }

@@ -73,6 +73,30 @@ func TestUtilizationIgnoresIdleGaps(t *testing.T) {
 	}
 }
 
+// TestBusyCyclesOrderIndependent pins busy cycles as a function of the
+// transfer set alone: summing per-transfer float service times in arrival
+// order made concurrent runs of the same work differ in the last bits.
+func TestBusyCyclesOrderIndependent(t *testing.T) {
+	sizes := []int{96, 8, 32, 120, 8, 64, 40, 128, 24, 72, 16, 104}
+	fwd, rev := New(DefaultConfig()), New(DefaultConfig())
+	for i, n := range sizes {
+		fwd.Request(float64(i), Read, n)
+		fwd.Drain(float64(i), Write, n+8)
+	}
+	for i := len(sizes) - 1; i >= 0; i-- {
+		rev.Drain(0, Write, sizes[i]+8)
+		rev.Request(0, Read, sizes[i])
+	}
+	for _, dir := range []Direction{Read, Write} {
+		if f, r := fwd.BusyCycles(dir), rev.BusyCycles(dir); f != r {
+			t.Errorf("direction %d: busy cycles %v forward, %v reversed", dir, f, r)
+		}
+		if f, r := fwd.Utilization(dir, 1e6), rev.Utilization(dir, 1e6); f != r {
+			t.Errorf("direction %d: utilization %v forward, %v reversed", dir, f, r)
+		}
+	}
+}
+
 func TestStorageConfigs(t *testing.T) {
 	for _, k := range StorageKinds() {
 		cfg := StorageConfig(k, 150)

@@ -429,13 +429,14 @@ type Handle struct {
 
 	// tn is the owning tenant; quota is the stored compressed bytes
 	// charged against it — Swap'd to zero exactly once on Close, and
-	// re-derived by requota when a reprofile changes the target.
+	// re-derived when a reprofile changes the target.
 	tn    *tenant
 	quota atomic.Int64
 
 	// ctl serializes control-plane operations on the handle (MigrateHandle,
-	// Close, requota); mu guards the route and is read-held across every
-	// I/O so the mover's watermark can only advance between operations.
+	// ApplyReprofile's retarget, Close); mu guards the route and is
+	// read-held across every I/O so the mover's watermark can only advance
+	// between operations.
 	// Lock order: ctl before mu, and ctl before pool.routeMu (Close holds
 	// ctl across forget; nothing acquires ctl under routeMu).
 	ctl sync.Mutex
@@ -611,8 +612,6 @@ func (h *Handle) Close() error {
 	h.mu.RUnlock()
 	err := a.Close()
 	h.pool.forget(h)
-	// Swap, not Load+Store: the quota is released exactly once even if a
-	// racing requota re-derived it a moment ago.
 	h.tn.release(h.quota.Swap(0))
 	return err
 }

@@ -1,8 +1,10 @@
 package pool
 
 import (
+	"bytes"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"buddy/internal/core"
@@ -80,5 +82,78 @@ func TestMallocSpillErrorListsHeadroom(t *testing.T) {
 	// Every shard's own failure reason must survive the wrap.
 	if !strings.Contains(msg, "shard 0:") || !strings.Contains(msg, "shard 1:") {
 		t.Errorf("spill error dropped a shard's cause: %q", msg)
+	}
+}
+
+// TestApplyReprofileRacesMigrate is the reprofile/migrate race regression:
+// a reprofile and a cross-shard MigrateHandle on the same handle must
+// serialize. Before the fix the reprofile retargeted the source allocation
+// while the mover copied it into a destination reserved at the old target,
+// so the decision was reported Applied yet the handle ended at the old
+// target after cutover.
+func TestApplyReprofileRacesMigrate(t *testing.T) {
+	p := newTestPool(t, 2, RoundRobin())
+	data := make([]byte, 8<<10)
+	pattern(data, 7)
+	size := int64(len(data))
+	dec := core.ReprofileDecision{Name: "race", Old: core.Target1x, New: core.Target2x}
+	plan := &core.ReprofilePlan{Decisions: []core.ReprofileDecision{dec}}
+	def, err := p.Tenant(DefaultTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for iter := 0; iter < 200; iter++ {
+		h, err := p.Malloc("race", size, dec.Old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		var (
+			wg            sync.WaitGroup
+			st            core.MigrationStats
+			stErr, migErr error
+			start         = make(chan struct{})
+			dst           = 1 - h.Shard()
+		)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			st, stErr = p.ApplyReprofile(plan)
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			migErr = p.MigrateHandle(h, dst)
+		}()
+		close(start)
+		wg.Wait()
+		if stErr != nil || migErr != nil {
+			t.Fatalf("iter %d: reprofile err %v, migrate err %v", iter, stErr, migErr)
+		}
+		switch {
+		case st.Applied == 1 && st.Skipped == 0:
+			if got := h.Target(); got != dec.New {
+				t.Fatalf("iter %d: reprofile reported Applied but the handle is at %s, want %s", iter, got, dec.New)
+			}
+		case st.Skipped == 1 && st.Applied == 0:
+			if got := h.Target(); got != dec.Old {
+				t.Fatalf("iter %d: reprofile reported Skipped but the handle is at %s, want %s", iter, got, dec.Old)
+			}
+		default:
+			t.Fatalf("iter %d: stats %+v, want exactly one decision applied or skipped", iter, st)
+		}
+		got := make([]byte, len(data))
+		if _, err := h.ReadAt(got, 0); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("iter %d: read back err=%v match=%v", iter, err, bytes.Equal(got, data))
+		}
+		if stored, want := def.Stats().StoredBytes, quotaFor(size, h.Target()); stored != want {
+			t.Fatalf("iter %d: tenant charged %d stored bytes, want %d for %s", iter, stored, want, h.Target())
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -106,12 +106,12 @@ type sched struct {
 
 	tens    []*tenant // pool's tenants, by index
 	rings   []taskRing
-	total   int                 // queued tasks across all rings
-	count   [numClasses]int     // queued tasks per class
-	classes [numClasses][]int   // tenant indexes per class
-	cursor  [numClasses]int     // DRR rotation point per class
-	hiRuns  int                 // consecutive higher-class dequeues over waiting lower-class work
-	valve   int                 // rotates escape-valve grants among starved classes
+	total   int               // queued tasks across all rings
+	count   [numClasses]int   // queued tasks per class
+	classes [numClasses][]int // tenant indexes per class
+	cursor  [numClasses]int   // DRR rotation point per class
+	hiRuns  int               // consecutive higher-class dequeues over waiting lower-class work
+	valve   int               // rotates escape-valve grants among starved classes
 
 	// clock is the shard's modeled virtual time in device+link cycles;
 	// see advance.

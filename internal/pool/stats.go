@@ -3,7 +3,6 @@ package pool
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"buddy/internal/core"
 )
@@ -189,98 +188,63 @@ func (p *Pool) Targets() map[string]core.TargetRatio {
 }
 
 // ApplyReprofile executes a checkpoint-time plan across the fleet: each
-// decision is routed to the shard owning the named allocation and the
-// per-shard sub-plans run in parallel, one goroutine per involved shard
-// (each shard serializes its own migrations internally). Decisions naming
-// no live allocation are skipped, like stale decisions on a single device.
+// decision resolves to the live handle of that name (for a duplicate name,
+// the highest shard's, as in Targets) and is applied under the handle's
+// control lock, so a reprofile serializes with MigrateHandle and Close on
+// the same handle. Decisions naming no live handle, or whose handle is no
+// longer at the plan's Old target, are skipped. A decision that fails is
+// reported in the joined error; the others still apply.
 func (p *Pool) ApplyReprofile(plan *core.ReprofilePlan) (core.MigrationStats, error) {
 	var st core.MigrationStats
 	if plan == nil || len(plan.Decisions) == 0 {
 		return st, nil
 	}
-	// Route decisions to their owning shards.
-	sub := make([]*core.ReprofilePlan, len(p.devices))
-	owners := make([]map[string]bool, len(p.devices))
-	for i, d := range p.devices {
-		owners[i] = make(map[string]bool)
-		for name := range d.Targets() {
-			owners[i][name] = true
-		}
+	byName := make(map[string]*Handle)
+	for _, h := range p.Handles() { // ordered by shard: the highest wins
+		byName[h.name] = h
 	}
+	var errs []error
 	for _, dec := range plan.Decisions {
-		placed := false
-		// Highest shard wins for duplicate names, mirroring how Targets()
-		// resolves them — the plan's Old target came from that shard, so
-		// the stale check below must run against the same allocation.
-		for i := len(p.devices) - 1; i >= 0; i-- {
-			if owners[i][dec.Name] {
-				if sub[i] == nil {
-					sub[i] = &core.ReprofilePlan{}
-				}
-				sub[i].Decisions = append(sub[i].Decisions, dec)
-				placed = true
-				break
-			}
+		h := byName[dec.Name]
+		if h == nil {
+			st.Skipped++
+			continue
 		}
-		if !placed {
+		moved, applied, err := h.reprofile(dec)
+		switch {
+		case err != nil:
+			errs = append(errs, err)
+		case applied:
+			st.Applied++
+			st.MigratedBytes += moved
+		default:
 			st.Skipped++
 		}
 	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs []error
-	)
-	for i, pl := range sub {
-		if pl == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(shard int, pl *core.ReprofilePlan) {
-			defer wg.Done()
-			got, err := p.devices[shard].ApplyReprofile(pl)
-			mu.Lock()
-			defer mu.Unlock()
-			st.Applied += got.Applied
-			st.Skipped += got.Skipped
-			st.MigratedBytes += got.MigratedBytes
-			if err != nil {
-				errs = append(errs, fmt.Errorf("pool: shard %d: %w", shard, err))
-			}
-		}(i, pl)
-	}
-	wg.Wait()
-	// Reprofiling changes what allocations reserve on the device, and
-	// tenant quotas are accounted in exactly those stored bytes — re-derive
-	// every handle's charge so the books match the new targets.
-	p.requota()
 	return st, errors.Join(errs...)
 }
 
-// requota re-derives every live handle's stored-bytes charge from its
-// current target and reconciles the owning tenant's counter by the delta.
-// Cross-shard migration never changes a reservation, so only reprofiles
-// need this.
-func (p *Pool) requota() {
-	p.routeMu.Lock()
-	hs := make([]*Handle, 0, len(p.handles))
-	for _, h := range p.handles {
-		hs = append(hs, h)
+// reprofile applies one decision to the handle under its control lock: a
+// handle no longer at dec.Old (or closed) is stale and left alone;
+// otherwise its allocation is retargeted in place on its shard and its
+// quota charge re-derived from the new target.
+func (h *Handle) reprofile(dec core.ReprofileDecision) (moved int64, applied bool, err error) {
+	h.ctl.Lock()
+	defer h.ctl.Unlock()
+	h.mu.RLock()
+	a, shard := h.rt.a, h.rt.shard
+	h.mu.RUnlock()
+	if a.Target() != dec.Old {
+		return 0, false, nil
 	}
-	p.routeMu.Unlock()
-	for _, h := range hs {
-		// ctl excludes a racing Handle.Close: once Close has run (the
-		// handle is forgotten), re-charging it would leak quota forever.
-		h.ctl.Lock()
-		p.routeMu.Lock()
-		_, live := p.handles[h.id]
-		p.routeMu.Unlock()
-		if live {
-			q := quotaFor(h.size, h.Target())
-			if d := q - h.quota.Swap(q); d != 0 {
-				h.tn.stored.Add(d)
-			}
-		}
-		h.ctl.Unlock()
+	moved, err = h.pool.devices[shard].Retarget(a, dec.New)
+	if errors.Is(err, core.ErrFreed) {
+		return 0, false, nil
 	}
+	if err != nil {
+		return 0, false, fmt.Errorf("pool: shard %d: reprofile %s %s->%s: %w", shard, dec.Name, dec.Old, dec.New, err)
+	}
+	q := quotaFor(h.size, dec.New)
+	h.tn.stored.Add(q - h.quota.Swap(q))
+	return moved, true, nil
 }

@@ -175,11 +175,14 @@ type TenantStats struct {
 	// QueueDepth the tasks queued at snapshot time.
 	Submitted  uint64
 	QueueDepth int64
-	// ServedBytes is the payload of completed operations.
+	// ServedBytes is the payload of completed operations submitted with
+	// Pool.SubmitRead/SubmitWrite; synchronous Handle.ReadAt/WriteAt bypass
+	// the queues and are not counted.
 	ServedBytes uint64
 	// Latency is the modeled completion-latency distribution in
 	// device+link cycles (queueing included: an operation is stamped with
-	// its shard's virtual clock at submit and observed at completion).
+	// its shard's virtual clock at submit and observed at completion). Like
+	// ServedBytes it covers completed Submit operations only.
 	Latency LatencyDist
 }
 

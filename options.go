@@ -178,11 +178,6 @@ func WithCodec(c Codec) Option {
 	return func(cfg *config) { cfg.core.Codec = c }
 }
 
-// WithCompressor selects the memory compression algorithm.
-//
-// Deprecated: use WithCodec.
-func WithCompressor(c Codec) Option { return WithCodec(c) }
-
 // WithDeviceBytes sets the GPU device-memory capacity available for
 // compressed allocations (default 12 GB). For a pool this is the per-shard
 // capacity.
